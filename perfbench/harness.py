@@ -451,6 +451,31 @@ def print_report(result: Result, trace: int) -> None:
     sys.stdout.flush()
 
 
+def stop_helper_processes() -> None:
+    """Stop and reap every process multiprocessing started here.
+
+    Runs before the interpreter exits, so no child outlives the run.
+    Worker processes go first: each holds the resource tracker's pipe
+    open.  Then the semaphores still registered are unlinked now rather
+    than at exit, because an unlink after the tracker stopped would
+    start a new tracker that outlives this process.  Last, the tracker
+    is stopped and reaped.
+    """
+    if "multiprocessing" not in sys.modules:
+        return
+    from multiprocessing import active_children, resource_tracker, util
+
+    children = active_children()
+    for child in children:
+        child.terminate()
+    for child in children:
+        child.join()
+    util._run_finalizers(0)
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        stop()
+
+
 def output_dir() -> str:
     path = os.path.join(ROOT, ".perfbench")
     os.makedirs(path, exist_ok=True)

@@ -227,21 +227,6 @@ def _expected_predictions(checkpoint: str, records, images) -> Dict[int, tuple]:
     return expected
 
 
-def _release_semaphores() -> None:
-    """Free the stopped pools' queues, then stop and reap the helper
-    process multiprocessing started to track their semaphores, so the
-    run leaves no process behind.  The queues sit in reference cycles
-    that the frozen heap hides from the collector."""
-    import gc
-    from multiprocessing import resource_tracker
-
-    gc.unfreeze()
-    gc.collect()
-    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
-    if stop is not None:
-        stop()
-
-
 def run(args) -> harness.Result:
     from repro import rng
     from repro.serve import checkpoint, simulator
@@ -361,7 +346,6 @@ def run(args) -> harness.Result:
             teardown(built)
         built = pool = gateway = None
         loop.close()
-        _release_semaphores()
 
     exchanges = [e for _, group in phases.values() for e in group]
     image_of = {e.rid: images[e.image] for e in exchanges}

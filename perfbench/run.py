@@ -66,6 +66,7 @@ for _name in THREAD_ENV:
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import signal  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
@@ -108,6 +109,15 @@ def main(argv=None) -> int:
     import repro  # noqa: F401
     import harness
 
+    # A SIGTERM leaves through the same clean-up as every other exit.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+    try:
+        return run_one(args, harness)
+    finally:
+        harness.stop_helper_processes()
+
+
+def run_one(args, harness) -> int:
     started = time.perf_counter()
     fingerprint = harness.fingerprint(args.seed, THREAD_ENV)
     print("fingerprint " + json.dumps(fingerprint, sort_keys=True))
