@@ -1,4 +1,4 @@
-"""Tracked perf suite: writes BENCH_perf.json and checks the trajectory.
+"""Tracked perf suite: checks the trajectory against the committed baseline.
 
 Run directly::
 
@@ -9,7 +9,8 @@ The suite times every tracked op twice — optimised path and reference
 the current machine rather than against hard-coded wall-clock numbers.
 Thresholds are deliberately below the typical measured speedups (see
 BENCH_perf.json / README "Performance") to keep the gate robust to
-machine noise.
+machine noise.  The suite never writes BENCH_perf.json: ``repro bench``
+is its only writer.
 """
 
 import json
@@ -17,17 +18,15 @@ import os
 
 import pytest
 
-from repro.bench import check_regressions, load_baseline, run_suite, write_results
+from repro.bench import check_regressions, load_baseline, run_suite
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 _BASELINE = os.path.join(_REPO_ROOT, "benchmarks", "perf", "baseline.json")
-_OUTPUT = os.path.join(_REPO_ROOT, "BENCH_perf.json")
 
 
 @pytest.fixture(scope="module")
 def suite_results():
     results = run_suite("smoke")
-    write_results(results, _OUTPUT)
     print()
     print(json.dumps(results["ops"], indent=2, sort_keys=True))
     return results

@@ -70,8 +70,15 @@ for artifact in architecture.json checkpoint.npz deploy_report.json \
         || { echo "missing pipeline artifact: $artifact"; exit 1; }
 done
 
-echo "==> serve-sim smoke (bursty scenario, all policies)"
-python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0
+echo "==> serve-sim smoke (bursty scenario, all policies; report must be bit-identical across runs)"
+SERVE_SIM_DIR="$(mktemp -d)"
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR"' EXIT
+for run in a b; do
+    python -m repro serve-sim --scenario bursty --policy all --scale smoke \
+        --seed 0 --output "$SERVE_SIM_DIR/serve_sim_$run.json"
+done
+cmp "$SERVE_SIM_DIR/serve_sim_a.json" "$SERVE_SIM_DIR/serve_sim_b.json" \
+    || { echo "serve-sim run is not deterministic"; exit 1; }
 
 echo "==> fleet serve-sim smoke (4 replicas behind the least_queue router)"
 python -m repro serve-sim --scenario bursty --policy slo --scale smoke \
@@ -80,7 +87,7 @@ python -m repro serve-sim --scenario bursty --policy slo --scale smoke \
 echo "==> loadtest smoke (tiny grid; report must be bit-identical across runs)"
 LOADTEST_DIR_A="$(mktemp -d)"
 LOADTEST_DIR_B="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B"' EXIT
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B"' EXIT
 python -m repro loadtest --config examples/loadtest_smoke.json \
     --output-dir "$LOADTEST_DIR_A" --quiet
 python -m repro loadtest --config examples/loadtest_smoke.json \
@@ -101,7 +108,7 @@ python -m repro obs diff "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" \
 
 echo "==> obs smoke (tracing must not change the deterministic report)"
 OBS_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR"' EXIT
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR"' EXIT
 python -m repro loadtest --config examples/loadtest_smoke.json \
     --output-dir "$OBS_DIR" --obs --quiet
 cmp "$LOADTEST_DIR_A/loadtest_report.json" "$OBS_DIR/loadtest_report.json" \
@@ -127,7 +134,7 @@ python -m pytest -q -m real_plane
 
 echo "==> serve-real smoke (real gateway + workers validated vs the simulator)"
 SERVE_REAL_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR" "$SERVE_REAL_DIR"' EXIT
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR" "$SERVE_REAL_DIR"' EXIT
 # One worker concentrates the burst so the policies separate and the
 # --strict ordering + occupancy comparison against the simulator is
 # non-vacuous; 96 requests keep the replay to seconds.

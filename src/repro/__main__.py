@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "replay a deterministic arrival scenario against the "
             "micro-batched inference engine and report latency "
             "percentiles, throughput, and the per-bit-width occupancy "
-            "histogram for each precision policy; --replicas switches "
-            "to a sharded replica fleet behind the chosen router, "
+            "histogram for each precision policy; --replicas serves "
+            "through a sharded replica fleet behind the chosen router, "
             "optionally autoscaled up to --autoscale-max replicas"
         ),
     )
@@ -76,18 +76,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=choices("serve_scales"))
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
-        "--replicas", type=int, default=None, metavar="N",
+        "--replicas", type=int, default=1, metavar="N",
         help="serve through a fleet of N engine replicas "
-             "(default: one engine, no fleet layer)",
+             "(default: 1, a single engine)",
     )
     serve.add_argument(
         "--router", default="least_queue", choices=choices("routers"),
-        help="fleet request router (with --replicas)",
+        help="fleet request router (with --replicas > 1)",
     )
     serve.add_argument(
         "--autoscale-max", type=int, default=None, metavar="MAX",
         help="enable the fleet autoscaler, growing from --replicas "
-             "up to MAX replicas (implies the fleet layer)",
+             "up to MAX replicas",
     )
     serve.add_argument(
         "--output", default=None, metavar="PATH",
@@ -385,47 +385,35 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
         tracer = Tracer(sinks=(MetricsRecorder(metrics),))
 
-    fleet_mode = args.replicas is not None or args.autoscale_max is not None
-    if fleet_mode:
-        from .api.config import AutoscaleConfig, ConfigError
-        from .serve import format_fleet_reports, run_fleet_sim
+    from .api.config import AutoscaleConfig, ConfigError
+    from .serve import format_fleet_reports, run_fleet_sim
 
-        replicas = args.replicas if args.replicas is not None else 1
-        autoscale = None
-        if args.autoscale_max is not None:
-            try:
-                autoscale = AutoscaleConfig(
-                    min_replicas=min(replicas, args.autoscale_max),
-                    max_replicas=args.autoscale_max,
-                )
-            except ConfigError as exc:
-                error(f"invalid --autoscale-max: {exc}")
-                return 2
-        if replicas < 1:
-            error(f"--replicas {replicas} must be >= 1")
-            return 2
-        if autoscale is not None and replicas > autoscale.max_replicas:
-            error(
-                f"--replicas {replicas} exceeds --autoscale-max "
-                f"{autoscale.max_replicas}"
+    autoscale = None
+    if args.autoscale_max is not None:
+        try:
+            autoscale = AutoscaleConfig(
+                min_replicas=min(args.replicas, args.autoscale_max),
+                max_replicas=args.autoscale_max,
             )
+        except ConfigError as exc:
+            error(f"invalid --autoscale-max: {exc}")
             return 2
-        reports = run_fleet_sim(
-            scenario=args.scenario, policy=args.policy,
-            scale=args.scale, seed=args.seed,
-            replicas=replicas, router=args.router, autoscale=autoscale,
-            fixture=fixture, tracer=tracer,
+    if args.replicas < 1:
+        error(f"--replicas {args.replicas} must be >= 1")
+        return 2
+    if autoscale is not None and args.replicas > autoscale.max_replicas:
+        error(
+            f"--replicas {args.replicas} exceeds --autoscale-max "
+            f"{autoscale.max_replicas}"
         )
-        info(format_fleet_reports(reports))
-    else:
-        from .serve import format_reports, run_serve_sim
-
-        reports = run_serve_sim(
-            scenario=args.scenario, policy=args.policy,
-            scale=args.scale, seed=args.seed, fixture=fixture,
-            tracer=tracer,
-        )
-        info(format_reports(reports))
+        return 2
+    reports = run_fleet_sim(
+        scenario=args.scenario, policy=args.policy,
+        scale=args.scale, seed=args.seed,
+        replicas=args.replicas, router=args.router, autoscale=autoscale,
+        fixture=fixture, tracer=tracer,
+    )
+    info(format_fleet_reports(reports))
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(

@@ -466,14 +466,12 @@ class AlertConfig(_StageConfig):
 class ServeConfig(_StageConfig):
     """``serve`` stage: traffic replay against the inference engine.
 
-    ``replicas > 1`` (or an ``autoscale`` section) serves through a
-    :class:`~repro.serve.cluster.ReplicaFleet` — engine replicas
-    materialized from the stage's checkpoint behind the named
-    ``router`` — instead of a single engine.  With ``replicas == 1``
-    and no ``autoscale`` section the fleet layer is skipped entirely
-    and ``router`` is unused (add ``autoscale`` — or use
-    ``repro serve-sim --replicas 1`` — to route through a
-    single-replica fleet).
+    Traffic is served through a
+    :class:`~repro.serve.cluster.ReplicaFleet` of ``replicas`` engine
+    replicas materialized from the stage's checkpoint behind the named
+    ``router``, optionally autoscaled.  With ``replicas == 1`` and no
+    ``autoscale`` section the fleet is a single engine and the report
+    is the same under every router.
     """
 
     scenario: str = "bursty"

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..obs.tracer import NULL_TRACER
 from ..obs.wallclock import wall_clock_s
 from .config import ObsConfig, PipelineConfig
-from .registry import DEVICES, POLICIES, SEARCH_SPACES, STRATEGIES
+from .registry import DEVICES, SEARCH_SPACES, STRATEGIES
 
 __all__ = [
     "PipelineError",
@@ -387,20 +387,16 @@ class Pipeline:
         what serving simulates.  Otherwise the serve stage runs its own
         (cheaper) latency-metric search.
 
-        ``serve.replicas > 1`` (or a ``serve.autoscale`` section) serves
-        through a :class:`~repro.serve.cluster.ReplicaFleet` behind the
-        configured router, every replica materialized independently
-        from the stage's checkpoint via
+        Traffic is served by a :class:`~repro.serve.cluster.ReplicaFleet`
+        of ``serve.replicas`` replicas (one by default, optionally
+        autoscaled) behind the configured router, every replica
+        materialized independently from the stage's checkpoint via
         :class:`~repro.serve.registry.ModelRegistry`.
         """
+        from ..serve.cluster import run_fleet_sim
         from ..serve.engine import BitLatencyModel
-        from ..serve.simulator import (
-            ServeScale,
-            build_report,
-            make_engine,
-            prepare_simulation,
-            simulate,
-        )
+        from ..serve.registry import ModelRegistry
+        from ..serve.simulator import ServeScale, prepare_simulation
 
         cfg = self.config
         start = wall_clock_s()
@@ -450,62 +446,21 @@ class Pipeline:
             sp_net=sp_net, config=spnet_config,
             latency_model=latency_model,
         )
-        # "all" expands from the live registry, so policies registered
-        # after import are simulated too.
-        policies = (
-            list(POLICIES.names()) if cfg.serve.policy == "all"
-            else [cfg.serve.policy]
+        # Replicas materialize independently from the stage's own
+        # checkpoint: the fleet serves exactly what train saved.
+        reports = run_fleet_sim(
+            cfg.serve.scenario, cfg.serve.policy, serve_scale,
+            seed=cfg.seed,
+            replicas=cfg.serve.replicas,
+            router=cfg.serve.router,
+            autoscale=cfg.serve.autoscale,
+            registry=ModelRegistry(self.run_dir), model_name="checkpoint",
+            fixture=fixture,
+            tracer=self.tracer,
         )
         fleet_mode = (
             cfg.serve.replicas > 1 or cfg.serve.autoscale is not None
         )
-        reports = []
-        if fleet_mode:
-            from ..serve.cluster import (
-                build_fleet_report,
-                make_fleet,
-                simulate_fleet,
-            )
-            from ..serve.registry import ModelRegistry
-
-            # Replicas materialize independently from the stage's own
-            # checkpoint: the fleet serves exactly what train saved.
-            registry = ModelRegistry(self.run_dir)
-            for name in policies:
-                fleet = make_fleet(
-                    fixture, name,
-                    replicas=cfg.serve.replicas,
-                    router=cfg.serve.router,
-                    autoscale=cfg.serve.autoscale,
-                    registry=registry, model_name="checkpoint",
-                    tracer=self.tracer.bind(
-                        scenario=cfg.serve.scenario, policy=name,
-                        router=cfg.serve.router,
-                        replicas=cfg.serve.replicas,
-                    ),
-                )
-                end_s = simulate_fleet(fleet, fixture.requests)
-                reports.append(
-                    build_fleet_report(
-                        cfg.serve.scenario, name, fixture.scale, fleet,
-                        end_s, fixture.slo_s,
-                    )
-                )
-        else:
-            for name in policies:
-                engine = make_engine(
-                    fixture, name,
-                    tracer=self.tracer.bind(
-                        scenario=cfg.serve.scenario, policy=name,
-                    ),
-                )
-                end_s = simulate(engine, fixture.requests)
-                reports.append(
-                    build_report(
-                        cfg.serve.scenario, name, fixture.scale, engine,
-                        end_s, fixture.slo_s,
-                    )
-                )
         artifact = {
             "scenario": cfg.serve.scenario,
             "mode": "fleet" if fleet_mode else "single",

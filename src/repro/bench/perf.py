@@ -3,7 +3,7 @@
 Every tracked op is timed twice where a reference implementation exists:
 
 * **fast** — the shipping configuration (conv matmul fast paths on,
-  quantised-weight cache on, AutoMapper memoization + warm starts on),
+  quantised-weight cache on),
 * **reference** — the same op with those optimisations disabled, i.e.
   the pre-optimisation execution path, timed live on the same machine so
   the reported ``speedup`` is machine-independent.
@@ -228,27 +228,29 @@ def _bench_automapper(scale: BenchScale) -> Dict[str, Dict[str, float]]:
     workloads = network_by_name("alexnet")
     device = eyeriss_like_asic()
 
-    def search(memoize: bool):
+    def search():
         mapper = AutoMapper(
             device,
             AutoMapperConfig(
                 generations=scale.mapper_generations, seed_key="bench-prepr",
-                memoize=memoize,
             ),
         )
         mapper.search_network(workloads, pipeline=False)
 
-    fast_s = _median_seconds(lambda: search(True), scale.mapper_repeats)
-    ref_s = _median_seconds(lambda: search(False), scale.mapper_repeats)
-    return {"automapper_alexnet_search": {"median_s": fast_s, "reference_s": ref_s}}
+    return {
+        "automapper_alexnet_search": {
+            "median_s": _median_seconds(search, scale.mapper_repeats)
+        }
+    }
 
 
 def _bench_serve(scale: BenchScale) -> Dict[str, Dict[str, float]]:
     """Serving layer: bursty serve-sim end to end + checkpoint round-trip.
 
-    ``serve_sim_bursty_slo`` times the full request path — traffic
-    admission, micro-batch coalescing, SLO-adaptive precision switching
-    and the real batched forwards — on a fixed bursty arrival trace.
+    ``serve_sim_bursty_slo`` times the full request path of a
+    one-replica fleet — traffic admission, micro-batch coalescing,
+    SLO-adaptive precision switching and the real batched forwards — on
+    a fixed bursty arrival trace.
     The reference run disables the conv fast paths and quantised-weight
     cache, pricing the same simulation on the pre-fast-engine kernels.
 
@@ -256,8 +258,8 @@ def _bench_serve(scale: BenchScale) -> Dict[str, Dict[str, float]]:
     fleet behind the least-queue router (fleet spin-up — four private
     model instances — plus routing and multi-server dispatch included),
     and ``serve_fleet_autoscale_burst`` through an autoscaled fleet
-    (1 -> 4 replicas, latency-aware router), tracking the fleet layer's
-    wall-clock on top of the single-engine path.
+    (1 -> 4 replicas, latency-aware router), tracking the cost of more
+    replicas and autoscaling on top of the one-replica path.
     """
     import dataclasses
     import shutil
@@ -267,11 +269,9 @@ def _bench_serve(scale: BenchScale) -> Dict[str, Dict[str, float]]:
     from ..quant import weight_cache
     from ..serve import (
         load_checkpoint,
-        make_engine,
         make_fleet,
         prepare_simulation,
         save_checkpoint,
-        simulate,
         simulate_fleet,
     )
     from ..serve.simulator import SERVE_SCALES
@@ -286,7 +286,7 @@ def _bench_serve(scale: BenchScale) -> Dict[str, Dict[str, float]]:
     fixture = prepare_simulation("bursty", serve_scale)
 
     def run_sim():
-        simulate(make_engine(fixture, "slo"), fixture.requests)
+        simulate_fleet(make_fleet(fixture, "slo"), fixture.requests)
 
     def run_sim_reference():
         with fast_conv(False), weight_cache(False):

@@ -65,11 +65,6 @@ class AutoMapperConfig:
     metric: str = "edp"
     goal: Optional[float] = None
     seed_key: str = "automapper"
-    # Memoize evaluate_layer / make_valid on (workload, dataflow):
-    # evolution re-breeds previously-seen candidates constantly (repair
-    # collapses many perturbations onto the same valid flow), and pricing
-    # them again is pure waste.  Disable for A/B benchmarking only.
-    memoize: bool = True
     # Opt-in: seed the pool with the best mapping found for the same
     # layer shape at another bit-width (SP-Net sweeps price each layer
     # at N precisions; good schedules transfer).  Off by default because
@@ -129,78 +124,9 @@ class AutoMapper:
         self.config = config or AutoMapperConfig()
         self._rng = rng_mod.spawn_rng(self.config.seed_key)
         self._layer_cache: Dict[tuple, Tuple[Dataflow, LayerCost, int]] = {}
-        # Cost-model memo tables keyed (workload, dataflow, fractions).
-        self._eval_cache: Dict[tuple, LayerCost] = {}
-        self._valid_cache: Dict[tuple, Dataflow] = {}
         # Best flow per layer *shape* (bits excluded) for warm starts.
         self._shape_best: Dict[tuple, Dataflow] = {}
         self.evaluations = 0
-        self.cost_cache_hits = 0
-
-    # ------------------------------------------------------------------
-    # Memoized cost-model access
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        workload: ConvWorkload,
-        flow: Dataflow,
-        pe_fraction: float,
-        buffer_fraction: float,
-        wkey: Optional[tuple] = None,
-    ) -> LayerCost:
-        """evaluate_layer with (workload, dataflow) memoization.
-
-        ``wkey`` passes the precomputed workload key (one per
-        ``search_layer``) so the hot loop only hashes the dataflow.
-        """
-        if not self.config.memoize:
-            return evaluate_layer(
-                workload, flow, self.device, pe_fraction, buffer_fraction
-            )
-        if wkey is None:
-            wkey = self._cache_key(workload, pe_fraction, buffer_fraction)
-        key = (wkey, flow.cache_key())
-        cost = self._eval_cache.get(key)
-        if cost is None:
-            cost = evaluate_layer(
-                workload, flow, self.device, pe_fraction, buffer_fraction
-            )
-            self._eval_cache[key] = cost
-        else:
-            self.cost_cache_hits += 1
-        return cost
-
-    def _make_valid(
-        self,
-        workload: ConvWorkload,
-        flow: Dataflow,
-        pe_fraction: float,
-        buffer_fraction: float,
-        wkey: Optional[tuple] = None,
-    ) -> Dataflow:
-        """make_valid with (workload, dataflow) memoization.
-
-        Repair is deterministic, so identical inputs always collapse to
-        the same valid flow; Dataflow is frozen, so the cached instance
-        is shared safely (and carries its own memoized cache key and
-        resident-words table, making the paired ``_evaluate`` cheaper).
-        """
-        if not self.config.memoize:
-            return make_valid(
-                workload, flow, self.device, buffer_fraction, pe_fraction
-            )
-        if wkey is None:
-            wkey = self._cache_key(workload, pe_fraction, buffer_fraction)
-        key = (wkey, flow.cache_key())
-        valid = self._valid_cache.get(key)
-        if valid is None:
-            valid = make_valid(
-                workload, flow, self.device, buffer_fraction, pe_fraction
-            )
-            self._valid_cache[key] = valid
-        else:
-            self.cost_cache_hits += 1
-        return valid
 
     # ------------------------------------------------------------------
     # Layer-level search (Alg. 1)
@@ -221,21 +147,22 @@ class AutoMapper:
         rng = self._rng
         evaluations = 0
 
-        def sample_random() -> Tuple[Dataflow, float, LayerCost]:
+        def price(candidate: Dataflow) -> Tuple[Dataflow, float, LayerCost]:
+            """Repair ``candidate`` to a valid flow and cost it."""
             nonlocal evaluations
-            flow = self._make_valid(
-                workload, random_dataflow(workload, self.device, rng),
-                pe_fraction, buffer_fraction, wkey=key,
+            flow = make_valid(
+                workload, candidate, self.device, buffer_fraction, pe_fraction
             )
-            cost = self._evaluate(
-                workload, flow, pe_fraction, buffer_fraction, wkey=key
+            cost = evaluate_layer(
+                workload, flow, self.device, pe_fraction, buffer_fraction
             )
             evaluations += 1
             return flow, _metric_of(cost, cfg.metric), cost
 
         # Build a pool with n random samples from the design space.
         pool: List[Tuple[Dataflow, float, LayerCost]] = [
-            sample_random() for _ in range(cfg.pool_size)
+            price(random_dataflow(workload, self.device, rng))
+            for _ in range(cfg.pool_size)
         ]
 
         # Warm start: the same layer shape searched at another bit-width
@@ -246,14 +173,7 @@ class AutoMapper:
         shape_key = self._shape_key(workload, pe_fraction, buffer_fraction)
         warm = self._shape_best.get(shape_key) if cfg.warm_start else None
         if warm is not None:
-            flow = self._make_valid(
-                workload, warm, pe_fraction, buffer_fraction, wkey=key
-            )
-            cost = self._evaluate(
-                workload, flow, pe_fraction, buffer_fraction, wkey=key
-            )
-            evaluations += 1
-            entry = (flow, _metric_of(cost, cfg.metric), cost)
+            entry = price(warm)
             worst = max(range(len(pool)), key=lambda i: pool[i][1])
             if entry[1] < pool[worst][1]:
                 pool[worst] = entry
@@ -274,14 +194,7 @@ class AutoMapper:
                         parent, workload, self.device,
                         k=cfg.perturb_features, rng=rng,
                     )
-                    child = self._make_valid(
-                        workload, child, pe_fraction, buffer_fraction, wkey=key
-                    )
-                    cost = self._evaluate(
-                        workload, child, pe_fraction, buffer_fraction, wkey=key
-                    )
-                    evaluations += 1
-                    pool.append((child, _metric_of(cost, cfg.metric), cost))
+                    pool.append(price(child))
             else:
                 # Rank and remove the worst m samples.
                 pool.sort(key=lambda entry: entry[1])

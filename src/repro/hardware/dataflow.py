@@ -114,33 +114,6 @@ class Dataflow:
         """True when every loop bound is fully covered."""
         return all(self.coverage(d) >= b for d, b in workload.dims.items())
 
-    def cache_key(self) -> tuple:
-        """Hashable canonical identity of this mapping.
-
-        Two dataflows with the same key execute identically (tile factors
-        of 1 and absent dict entries are equivalent), so cost-model
-        results may be memoized on it — see the AutoMapper's
-        evaluate/make_valid caches.  Computed once per instance (the
-        dataclass is frozen, so the key cannot go stale).
-        """
-        try:
-            return self._cache_key_memo
-        except AttributeError:
-            pass
-        # Fixed-width factor tuples in canonical DIMS order: an absent
-        # tile entry equals a factor of 1, so no sorting or filtering is
-        # needed to canonicalise — this key is built on the search's hot
-        # path for every fresh candidate.
-        key = (
-            tuple(
-                (level.order, tuple(level.tiles.get(d, 1) for d in DIMS))
-                for level in self.levels
-            ),
-            tuple(self.spatial.get(d, 1) for d in DIMS),
-        )
-        object.__setattr__(self, "_cache_key_memo", key)
-        return key
-
     def describe(self) -> str:
         """Human-readable multi-line summary (used by example scripts)."""
         lines = []

@@ -33,6 +33,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .views import cell_key
+
 __all__ = [
     "SLO_SIGNALS",
     "SLOSpec",
@@ -292,14 +294,6 @@ def _max_burn(
     return max(burns) if burns else None
 
 
-def _cell_key(event: Dict) -> Tuple[Tuple[str, object], ...]:
-    # Same cell identity views group by; kept local so slo stays
-    # independent of the renderer.
-    from .views import CELL_KEYS
-
-    return tuple((k, event[k]) for k in CELL_KEYS if k in event)
-
-
 def evaluate_events(
     events: List[Dict],
     specs: Sequence[SLOSpec],
@@ -318,7 +312,7 @@ def evaluate_events(
     for event in events:
         if event["kind"] in ("stage", "slo", "alert"):
             continue
-        by_cell.setdefault(_cell_key(event), []).append(event)
+        by_cell.setdefault(cell_key(event), []).append(event)
 
     results: List[Dict] = []
     for key in sorted(by_cell, key=lambda k: tuple(str(i) for i in k)):

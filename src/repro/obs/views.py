@@ -44,7 +44,8 @@ _GANTT_IDLE = "."
 _GANTT_CHARS = "12345678abcdefghijklmnopqrstuvwxyz"
 
 
-def _cell_key(event: Dict) -> Tuple[Tuple[str, object], ...]:
+def cell_key(event: Dict) -> Tuple[Tuple[str, object], ...]:
+    """The grid cell an event belongs to, as ``(label, value)`` pairs."""
     return tuple((k, event[k]) for k in CELL_KEYS if k in event)
 
 
@@ -373,7 +374,7 @@ def render_events(
     cells: Dict[Tuple, List[Dict]] = defaultdict(list)
     for event in events:
         if event["kind"] != "stage":
-            cells[_cell_key(event)].append(event)
+            cells[cell_key(event)].append(event)
     for key in sorted(cells, key=lambda k: tuple(str(i) for i in k)):
         cell_events = cells[key]
         batches = [e for e in cell_events if e["kind"] == "batch"]

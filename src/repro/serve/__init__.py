@@ -8,10 +8,11 @@ is picked by a pluggable
 :class:`~repro.serve.cluster.ReplicaFleet` that shards traffic across
 engine replicas behind a pluggable
 :class:`~repro.serve.routing.Router` with deterministic autoscaling,
-and a deterministic traffic simulator (:mod:`repro.serve.simulator`,
+and a deterministic traffic simulator (:func:`run_fleet_sim`,
 ``python -m repro serve-sim``) that replays constant / bursty / diurnal
-arrival scenarios against an engine or a whole fleet using the hardware
-cost model's latency estimates as the service-time oracle.
+arrival scenarios against a fleet of one or more engine replicas using
+the hardware cost model's latency estimates as the service-time oracle;
+:mod:`repro.serve.simulator` generates that traffic.
 """
 
 from .checkpoint import (
@@ -70,15 +71,11 @@ from .routing import (
 from .simulator import (
     SCENARIO_NAMES,
     SERVE_SCALES,
-    ServeReport,
     ServeScale,
     SimFixture,
-    format_reports,
     generate_requests,
     make_engine,
     prepare_simulation,
-    run_serve_sim,
-    simulate,
 )
 
 __all__ = [
@@ -129,13 +126,9 @@ __all__ = [
     "make_router",
     "SCENARIO_NAMES",
     "SERVE_SCALES",
-    "ServeReport",
     "ServeScale",
     "SimFixture",
-    "format_reports",
     "generate_requests",
     "make_engine",
     "prepare_simulation",
-    "run_serve_sim",
-    "simulate",
 ]

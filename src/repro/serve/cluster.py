@@ -26,8 +26,9 @@ re-activated by a later scale-up without re-materializing).
 
 Everything — routing, scaling, dispatch order — is a deterministic
 function of the request stream and the fleet configuration, so a fleet
-simulation is bit-identical across runs and machines, exactly like the
-single-engine simulator it extends.
+simulation is bit-identical across runs and machines.  This is the one
+serving simulator: a single engine is served as a one-replica fleet,
+whose reports are the same under every router.
 """
 
 from __future__ import annotations
@@ -50,8 +51,14 @@ import numpy as np
 from .. import rng as rng_mod
 from ..api.config import AutoscaleConfig
 from ..api.registry import POLICIES
-from ..obs.tracer import NULL_TRACER
-from .engine import BatchRecord, BitLatencyModel, InferenceEngine, InferenceRequest
+from ..obs.tracer import NULL_TRACER, bits_label
+from .engine import (
+    BatchRecord,
+    BitLatencyModel,
+    EngineStats,
+    InferenceEngine,
+    InferenceRequest,
+)
 from .routing import ReplicaSnapshot, Router, RouterInputs, make_router
 from .stats import LatencySummary, optional_percentile_s
 
@@ -63,6 +70,7 @@ __all__ = [
     "simulate_fleet",
     "make_fleet",
     "build_fleet_report",
+    "replica_metrics",
     "run_fleet_sim",
     "format_fleet_reports",
 ]
@@ -681,6 +689,7 @@ class FleetReport:
     mean_batch_size: float = 0.0
     switches: int = 0
     accuracy: Optional[float] = None
+    accuracy_per_bit: Dict[str, Optional[float]] = field(default_factory=dict)
     energy_pj: float = 0.0
     energy_per_request_pj: Optional[float] = None
     per_replica: List[Dict] = field(default_factory=list)
@@ -694,10 +703,79 @@ class FleetReport:
         return asdict(self)
 
 
-def _bits_key(bits) -> str:
-    from .simulator import _bits_key as simulator_bits_key
+def replica_metrics(
+    stats: Sequence[EngineStats],
+    states: Sequence[str],
+    end_s: float,
+    slo_s: float,
+) -> Dict[str, object]:
+    """The :class:`FleetReport` fields merged from per-replica stats.
 
-    return simulator_bits_key(bits)
+    The one aggregation both planes share: the simulated fleet passes
+    its engines' live stats, the real plane the stats it rebuilds from
+    shipped batch records, so every field means the same in both.
+    """
+    bit_widths = stats[0].bit_widths
+    latencies = np.asarray([lat for s in stats for lat in s.latencies_s])
+    summary = LatencySummary.from_values(latencies)
+    completed = int(sum(s.completed for s in stats))
+    batches = int(sum(s.batches for s in stats))
+    labelled = int(sum(s.labelled for s in stats))
+    correct = int(sum(s.correct for s in stats))
+    energy_pj = float(sum(s.energy_pj for s in stats))
+    energy_priced = int(sum(s.energy_priced for s in stats))
+    duration = max(end_s, 1e-12)
+    accuracy_per_bit = {}
+    for b in bit_widths:
+        labelled_b = sum(s.labelled_per_bit[b] for s in stats)
+        accuracy_per_bit[bits_label(b)] = (
+            sum(s.correct_per_bit[b] for s in stats) / labelled_b
+            if labelled_b else None
+        )
+    per_replica = []
+    for idx, s in enumerate(stats):
+        busy_s = float(sum(s.busy_s_per_bit.values()))
+        per_replica.append({
+            "replica": idx,
+            "state": states[idx],
+            "requests": s.completed,
+            "batches": s.batches,
+            "mean_batch_size": s.mean_batch_size(),
+            "switches": s.switches,
+            "busy_s": busy_s,
+            "utilization": busy_s / duration,
+            "occupancy": {
+                bits_label(b): s.requests_per_bit[b] for b in bit_widths
+            },
+        })
+    return dict(
+        num_requests=completed,
+        duration_s=float(end_s),
+        throughput_rps=completed / duration,
+        latency_p50_s=summary.p50_s,
+        latency_p95_s=summary.p95_s,
+        latency_p99_s=summary.p99_s,
+        latency_mean_s=summary.mean_s,
+        latency_max_s=summary.max_s,
+        slo_s=slo_s,
+        slo_violations=(
+            int((latencies > slo_s).sum()) if latencies.size else 0
+        ),
+        occupancy={
+            bits_label(b): int(sum(s.requests_per_bit[b] for s in stats))
+            for b in bit_widths
+        },
+        batches=batches,
+        mean_batch_size=(completed / batches) if batches else 0.0,
+        switches=int(sum(s.switches for s in stats)),
+        accuracy=(correct / labelled) if labelled else None,
+        accuracy_per_bit=accuracy_per_bit,
+        energy_pj=energy_pj,
+        energy_per_request_pj=(
+            energy_pj / energy_priced if energy_priced else None
+        ),
+        per_replica=per_replica,
+    )
 
 
 def build_fleet_report(
@@ -709,53 +787,19 @@ def build_fleet_report(
     slo_s: float,
 ) -> FleetReport:
     """Merge per-replica engine stats into one fleet-level report."""
-    engines = fleet.engines()
-    bit_widths = engines[0].sp_net.bit_widths
-    latencies = np.asarray(
-        [lat for e in engines for lat in e.stats.latencies_s]
-    )
-    summary = LatencySummary.from_values(latencies)
-    completed = int(sum(e.stats.completed for e in engines))
-    batches = int(sum(e.stats.batches for e in engines))
-    labelled = int(sum(e.stats.labelled for e in engines))
-    correct = int(sum(e.stats.correct for e in engines))
-    energy_pj = float(sum(e.stats.energy_pj for e in engines))
-    energy_priced = int(sum(e.stats.energy_priced for e in engines))
-    duration = max(end_s, 1e-12)
-    occupancy = {
-        _bits_key(b): int(sum(e.stats.requests_per_bit[b] for e in engines))
-        for b in bit_widths
-    }
-    per_replica = []
-    for idx, engine in enumerate(engines):
-        stats = engine.stats
-        busy_s = float(sum(stats.busy_s_per_bit.values()))
-        per_replica.append({
-            "replica": idx,
-            "state": fleet.replica_states()[idx],
-            "requests": stats.completed,
-            "batches": stats.batches,
-            "mean_batch_size": stats.mean_batch_size(),
-            "switches": stats.switches,
-            "busy_s": busy_s,
-            "utilization": busy_s / duration,
-            "occupancy": {
-                _bits_key(b): stats.requests_per_bit[b] for b in bit_widths
-            },
-        })
-
     from ..obs.health import score_fleet
 
-    states: Dict[str, int] = {}
-    for state in fleet.replica_states():
-        states[state] = states.get(state, 0) + 1
-    slo_violations = (
-        int((latencies > slo_s).sum()) if latencies.size else 0
+    states = fleet.replica_states()
+    metrics = replica_metrics(
+        [e.stats for e in fleet.engines()], states, end_s, slo_s
     )
+    counts: Dict[str, int] = {}
+    for state in states:
+        counts[state] = counts.get(state, 0) + 1
     health = score_fleet(
-        states, completed=completed, slo_violations=slo_violations,
+        counts, completed=metrics["num_requests"],
+        slo_violations=metrics["slo_violations"],
     )
-
     return FleetReport(
         scenario=scenario,
         policy=policy,
@@ -764,29 +808,10 @@ def build_fleet_report(
         replicas=fleet.initial_replicas,
         max_replicas=fleet.max_replicas,
         autoscaled=fleet.autoscaler is not None,
-        num_requests=completed,
-        duration_s=float(end_s),
-        throughput_rps=completed / duration,
-        latency_p50_s=summary.p50_s,
-        latency_p95_s=summary.p95_s,
-        latency_p99_s=summary.p99_s,
-        latency_mean_s=summary.mean_s,
-        latency_max_s=summary.max_s,
-        slo_s=slo_s,
-        slo_violations=slo_violations,
-        occupancy=occupancy,
-        batches=batches,
-        mean_batch_size=(completed / batches) if batches else 0.0,
-        switches=int(sum(e.stats.switches for e in engines)),
-        accuracy=(correct / labelled) if labelled else None,
-        energy_pj=energy_pj,
-        energy_per_request_pj=(
-            energy_pj / energy_priced if energy_priced else None
-        ),
-        per_replica=per_replica,
         scale_events=[e.to_json_dict() for e in fleet.scale_events],
         fault_events=list(fleet.fault_log),
         health=health.to_dict(),
+        **metrics,
     )
 
 
@@ -877,12 +902,14 @@ def run_fleet_sim(
 ) -> List[FleetReport]:
     """Build the model + traffic once, then fleet-simulate each policy.
 
-    The fleet counterpart of
-    :func:`~repro.serve.simulator.run_serve_sim`: same fixture setup
-    (same arrivals, same images, same latency oracle), so fleet and
-    single-engine reports are directly comparable; ``policy="all"``
-    expands from the live policy registry.  A prepared ``fixture``
-    skips setup (same contract as ``run_serve_sim``).
+    Every policy sees the identical request stream (same arrivals, same
+    images, same latency oracle), so the reports are directly
+    comparable; ``policy="all"`` expands from the live policy registry.
+    ``replicas=1`` (the default) serves through a single engine.  Pass
+    ``sp_net`` + ``config`` to serve an existing (e.g.
+    checkpoint-loaded) model instead of a freshly initialised one, or a
+    prepared ``fixture`` to skip setup entirely (the caller is then
+    responsible for having built it under ``seed``).
     """
     from .simulator import prepare_simulation
 

@@ -1,10 +1,14 @@
-"""Deterministic traffic simulator + load generator for the serving layer.
+"""Traffic generation and the shared set-up for serving simulations.
 
-Arrival processes are generated from the repo's seeded RNG streams and
-service times come from the AutoMapper-priced
-:class:`~repro.serve.engine.BitLatencyModel`, so a simulation is a pure
-function of ``(seed, scenario, policy, scale)`` — bit-identical across
-runs and machines.  Forward passes are still executed for real on the
+This module builds what every simulation needs: the served model, its
+AutoMapper-priced :class:`~repro.serve.engine.BitLatencyModel`, and a
+labelled request stream (:func:`prepare_simulation`).  The one
+discrete-event loop that replays the stream is
+:func:`repro.serve.cluster.simulate_fleet`; a single engine is a
+one-replica fleet.  Arrival processes are generated from the repo's
+seeded RNG streams and service times come from the latency model, so a
+simulation is a pure function of ``(seed, scenario, policy, scale)`` —
+bit-identical across runs and machines.  Forward passes are still executed for real on the
 synthetic dataset, which is what makes the accuracy proxy and the
 per-bit predictions honest rather than modelled.
 
@@ -23,34 +27,33 @@ The workload lab (:mod:`repro.workload.scenarios`) extends the gallery
 (flash crowds, ramps, sawtooths, on/off duty cycles, heavy tails);
 anything registered under ``SCENARIOS`` is served here by name.
 
-``python -m repro serve-sim`` runs one scenario under one or all
-policies and prints p50/p95/p99 latency, throughput, the per-bit-width
-occupancy histogram, the accuracy proxy, and — when the latency model
-carries cost-model energy estimates — energy per request.
+``python -m repro serve-sim`` (:func:`repro.serve.cluster.run_fleet_sim`)
+runs one scenario under one or all policies and prints p50/p95/p99
+latency, throughput, the per-bit-width occupancy histogram, the
+accuracy proxy, and — when the latency model carries cost-model energy
+estimates — energy per request.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .. import rng as rng_mod
-from ..api.registry import POLICIES, SCENARIOS, RegistryNames
+from ..api.registry import SCENARIOS, RegistryNames
 from ..obs.tracer import NULL_TRACER
 from ..data.synthetic import SyntheticSpec, make_synthetic
 from ..quant.layers import BitSpec
 from .checkpoint import SPNetConfig, build_sp_net
 from .engine import BitLatencyModel, InferenceEngine, InferenceRequest
-from .policies import make_policy
 
 __all__ = [
     "ServeScale",
     "SERVE_SCALES",
     "SCENARIO_NAMES",
-    "ServeReport",
     "SimFixture",
     "constant_gaps",
     "bursty_gaps",
@@ -58,9 +61,6 @@ __all__ = [
     "generate_requests",
     "prepare_simulation",
     "make_engine",
-    "simulate",
-    "run_serve_sim",
-    "format_reports",
 ]
 
 # Backwards-compat name list: a LIVE view over repro.api.registry
@@ -209,174 +209,7 @@ def generate_requests(
 
 
 # ----------------------------------------------------------------------
-# Simulation loop
-# ----------------------------------------------------------------------
-def simulate(
-    engine: InferenceEngine, requests: Sequence[InferenceRequest]
-) -> float:
-    """Drive the engine through the request stream on a virtual clock.
-
-    Single-server discrete-event loop: the engine serves one micro-batch
-    at a time; arrivals landing mid-service queue up behind it.  Returns
-    the virtual completion time of the last batch.
-    """
-    ordered = sorted(requests, key=lambda r: r.arrival_s)
-    n = len(ordered)
-    i = 0
-    now = 0.0
-
-    def admit(upto: float) -> int:
-        nonlocal i
-        while i < n and ordered[i].arrival_s <= upto:
-            engine.submit(ordered[i])
-            i += 1
-        return i
-
-    while i < n or engine.queue_depth:
-        if not engine.queue_depth:
-            now = max(now, ordered[i].arrival_s)
-            admit(now)
-        record = engine.dispatch(now, flush=(i >= n))
-        if record is not None:
-            now = record.finish_s
-            admit(now)
-            continue
-        # Nothing released: advance to whichever comes first, the oldest
-        # request's timeout expiry or the next arrival.
-        times = [t for t in (engine.next_release_s(),) if t is not None]
-        if i < n:
-            times.append(ordered[i].arrival_s)
-        now = max(now, min(times))
-        admit(now)
-    return now
-
-
-# ----------------------------------------------------------------------
-# Reporting
-# ----------------------------------------------------------------------
-@dataclass
-class ServeReport:
-    """Everything ``serve-sim`` prints for one (scenario, policy) run."""
-
-    scenario: str
-    policy: str
-    scale: str
-    num_requests: int
-    duration_s: float
-    throughput_rps: float
-    latency_p50_s: float
-    latency_p95_s: float
-    latency_p99_s: float
-    latency_mean_s: float
-    latency_max_s: float
-    slo_s: float
-    slo_violations: int
-    occupancy: Dict[str, int] = field(default_factory=dict)
-    batches: int = 0
-    mean_batch_size: float = 0.0
-    switches: int = 0
-    accuracy: Optional[float] = None
-    accuracy_per_bit: Dict[str, Optional[float]] = field(default_factory=dict)
-    energy_pj: float = 0.0
-    energy_per_request_pj: Optional[float] = None
-
-    def to_json_dict(self) -> Dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-
-def _bits_key(bits: BitSpec) -> str:
-    if isinstance(bits, tuple):
-        return f"W{bits[0]}A{bits[1]}"
-    return str(bits)
-
-
-def build_report(
-    scenario: str,
-    policy: str,
-    scale: ServeScale,
-    engine: InferenceEngine,
-    end_s: float,
-    slo_s: float,
-) -> ServeReport:
-    stats = engine.stats
-    latencies = np.asarray(stats.latencies_s)
-    summary = stats.latency_summary()
-    duration = max(end_s, 1e-12)
-    accuracy_per_bit = {
-        _bits_key(b): (
-            stats.correct_per_bit[b] / stats.labelled_per_bit[b]
-            if stats.labelled_per_bit[b]
-            else None
-        )
-        for b in stats.bit_widths
-    }
-    return ServeReport(
-        scenario=scenario,
-        policy=policy,
-        scale=scale.name,
-        num_requests=stats.completed,
-        duration_s=float(end_s),
-        throughput_rps=stats.completed / duration,
-        latency_p50_s=summary.p50_s,
-        latency_p95_s=summary.p95_s,
-        latency_p99_s=summary.p99_s,
-        latency_mean_s=summary.mean_s,
-        latency_max_s=summary.max_s,
-        slo_s=slo_s,
-        slo_violations=int((latencies > slo_s).sum()) if latencies.size else 0,
-        occupancy={
-            _bits_key(b): stats.requests_per_bit[b] for b in stats.bit_widths
-        },
-        batches=stats.batches,
-        mean_batch_size=stats.mean_batch_size(),
-        switches=stats.switches,
-        accuracy=stats.accuracy(),
-        accuracy_per_bit=accuracy_per_bit,
-        energy_pj=stats.energy_pj,
-        energy_per_request_pj=stats.energy_per_request_pj(),
-    )
-
-
-def format_reports(reports: Sequence[ServeReport]) -> str:
-    """Aligned comparison table plus per-policy occupancy histograms."""
-    if not reports:
-        return "(no reports)"
-    header = (
-        f"{'policy':<8} {'reqs':>5} {'thru(r/s)':>10} {'p50(ms)':>8} "
-        f"{'p95(ms)':>8} {'p99(ms)':>8} {'slo-viol':>8} {'batches':>7} "
-        f"{'avg-b':>5} {'switch':>6} {'acc':>6} {'uJ/req':>8}"
-    )
-    lines = [
-        f"serve-sim scenario={reports[0].scenario} scale={reports[0].scale} "
-        f"slo={reports[0].slo_s * 1e3:.3f}ms",
-        header,
-        "-" * len(header),
-    ]
-    for r in reports:
-        acc = f"{r.accuracy:.3f}" if r.accuracy is not None else "n/a"
-        energy = (
-            f"{r.energy_per_request_pj / 1e6:.3f}"
-            if r.energy_per_request_pj is not None else "n/a"
-        )
-        lines.append(
-            f"{r.policy:<8} {r.num_requests:>5} {r.throughput_rps:>10.1f} "
-            f"{r.latency_p50_s * 1e3:>8.3f} {r.latency_p95_s * 1e3:>8.3f} "
-            f"{r.latency_p99_s * 1e3:>8.3f} {r.slo_violations:>8} "
-            f"{r.batches:>7} {r.mean_batch_size:>5.1f} {r.switches:>6} "
-            f"{acc:>6} {energy:>8}"
-        )
-    lines.append("")
-    lines.append("per-bit occupancy (requests served at each bit-width):")
-    for r in reports:
-        occ = "  ".join(f"{k}:{v}" for k, v in r.occupancy.items())
-        lines.append(f"  {r.policy:<8} {occ}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# End-to-end entry point
+# Simulation fixture
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SimFixture:
@@ -399,8 +232,9 @@ def prepare_simulation(
 ) -> SimFixture:
     """Build (or adopt) the model, price it, and generate the traffic.
 
-    The single setup path shared by :func:`run_serve_sim`, the pipeline
-    ``serve`` stage, and the perf bench, so the tracked
+    The single setup path shared by
+    :func:`~repro.serve.cluster.run_fleet_sim`, the pipeline ``serve``
+    stage, and the perf bench, so the tracked
     ``serve_sim_bursty_slo`` op measures exactly what ``repro
     serve-sim`` runs.  A ``config`` alone customises the freshly built
     model; an existing ``sp_net`` requires its :class:`SPNetConfig`
@@ -472,47 +306,3 @@ def make_engine(
         clock=lambda: 0.0,
         tracer=tracer,
     )
-
-
-def run_serve_sim(
-    scenario: str = "bursty",
-    policy: str = "all",
-    scale="smoke",
-    seed: int = 0,
-    sp_net=None,
-    config: Optional[SPNetConfig] = None,
-    fixture: Optional[SimFixture] = None,
-    tracer=NULL_TRACER,
-) -> List[ServeReport]:
-    """Build model + latency table once, then simulate each policy.
-
-    Every policy sees the identical request stream (same arrivals, same
-    images), so the reports are directly comparable.  Pass ``sp_net`` +
-    ``config`` to serve an existing (e.g. checkpoint-loaded) model
-    instead of a freshly initialised one, or a prepared ``fixture`` to
-    skip setup entirely (the caller is then responsible for having
-    built it under ``seed`` — e.g. the CLI's trace-recording path,
-    which prepares once and both simulates and records from it).
-    """
-    rng_mod.set_seed(seed)
-    if fixture is None:
-        fixture = prepare_simulation(
-            scenario, scale, sp_net=sp_net, config=config
-        )
-    # "all" expands from the live registry, so policies registered after
-    # import are simulated too.
-    policies = list(POLICIES.names()) if policy == "all" else [policy]
-    reports = []
-    for name in policies:
-        # Stamp policy identity so a shared trace stream stays
-        # separable per policy; binding onto NULL_TRACER is a no-op.
-        engine = make_engine(
-            fixture, name, tracer=tracer.bind(scenario=scenario, policy=name)
-        )
-        end_s = simulate(engine, fixture.requests)
-        reports.append(
-            build_report(
-                scenario, name, fixture.scale, engine, end_s, fixture.slo_s
-            )
-        )
-    return reports

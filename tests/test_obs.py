@@ -412,23 +412,6 @@ def sim_fixture():
 
 
 class TestTracingIsObservational:
-    def test_single_engine_reports_identical_traced_vs_untraced(
-        self, sim_fixture
-    ):
-        from repro.serve.simulator import build_report, make_engine, simulate
-
-        def run(tracer):
-            engine = make_engine(sim_fixture, "slo", tracer=tracer)
-            end_s = simulate(engine, sim_fixture.requests)
-            return build_report("bursty", "slo", sim_fixture.scale,
-                               engine, end_s, sim_fixture.slo_s)
-
-        untraced = run(NULL_TRACER)
-        tracer = Tracer(sinks=(MetricsRecorder(MetricsRegistry()),))
-        traced = run(tracer)
-        assert traced.to_json_dict() == untraced.to_json_dict()
-        assert len(tracer) > 0
-
     def test_fleet_reports_identical_traced_vs_untraced(self, sim_fixture):
         from repro.serve.cluster import (
             build_fleet_report,

@@ -426,6 +426,26 @@ class TestFleetEndToEnd:
             )
             assert served == 96
 
+    def test_one_replica_fleet_is_router_independent(self):
+        """One replica leaves routers nothing to choose: the report is
+        byte-identical under each of them, bar the router's own name,
+        which is what lets a one-replica fleet serve a single engine."""
+        fixture = prepare_simulation(
+            "bursty", FLEET_TINY, config=CFG, latency_model=latency_model(),
+        )
+        for policy in ("static", "slo", "queue"):
+            payloads = set()
+            for router in ("round_robin", "least_queue", "latency_aware"):
+                fleet = make_fleet(fixture, policy, router=router)
+                end_s = simulate_fleet(fleet, fixture.requests)
+                payload = build_fleet_report(
+                    "bursty", policy, fixture.scale, fleet, end_s,
+                    fixture.slo_s,
+                ).to_json_dict()
+                assert payload.pop("router") == router
+                payloads.add(json.dumps(payload, sort_keys=True))
+            assert len(payloads) == 1, policy
+
     def test_report_shape_and_per_replica_sections(self):
         (report,) = run_fleet_sim(
             "bursty", "slo", FLEET_TINY, seed=0, replicas=2,

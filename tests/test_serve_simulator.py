@@ -1,4 +1,8 @@
-"""Traffic simulator: determinism, scenario shapes, policy behaviour."""
+"""Traffic simulator: determinism, scenario shapes, policy behaviour.
+
+End-to-end runs serve through a one-replica fleet (``run_fleet_sim``'s
+default), the single-engine configuration ``repro serve-sim`` runs.
+"""
 
 import json
 
@@ -10,9 +14,9 @@ from repro.serve import (
     SERVE_SCALES,
     BitLatencyModel,
     ServeScale,
-    format_reports,
+    format_fleet_reports,
     generate_requests,
-    run_serve_sim,
+    run_fleet_sim,
 )
 from repro.serve.simulator import get_serve_scale
 
@@ -74,14 +78,14 @@ class TestTraffic:
 @pytest.mark.slow
 class TestEndToEnd:
     def test_run_is_deterministic(self):
-        a = run_serve_sim("bursty", "all", TINY, seed=3)
-        b = run_serve_sim("bursty", "all", TINY, seed=3)
+        a = run_fleet_sim("bursty", "all", TINY, seed=3)
+        b = run_fleet_sim("bursty", "all", TINY, seed=3)
         assert json.dumps([r.to_json_dict() for r in a], sort_keys=True) == \
             json.dumps([r.to_json_dict() for r in b], sort_keys=True)
 
     def test_bursty_slo_switches_static_does_not(self):
         reports = {
-            r.policy: r for r in run_serve_sim("bursty", "all", TINY, seed=0)
+            r.policy: r for r in run_fleet_sim("bursty", "all", TINY, seed=0)
         }
         static, slo = reports["static"], reports["slo"]
         # Static serves everything at the highest precision...
@@ -96,7 +100,7 @@ class TestEndToEnd:
         assert slo.slo_violations <= static.slo_violations
 
     def test_report_shape(self):
-        (report,) = run_serve_sim("constant", "static", TINY, seed=1)
+        (report,) = run_fleet_sim("constant", "static", TINY, seed=1)
         assert report.num_requests == TINY.num_requests
         assert report.throughput_rps > 0
         assert (
@@ -108,16 +112,16 @@ class TestEndToEnd:
         assert sum(report.occupancy.values()) == TINY.num_requests
         assert report.accuracy is not None
         assert set(report.accuracy_per_bit) == {"4", "8", "16"}
-        text = format_reports([report])
+        text = format_fleet_reports([report])
         assert "constant" in text and "static" in text
 
     def test_single_policy_selection(self):
-        reports = run_serve_sim("constant", "queue", TINY, seed=0)
+        reports = run_fleet_sim("constant", "queue", TINY, seed=0)
         assert [r.policy for r in reports] == ["queue"]
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
-            run_serve_sim("tsunami", "all", TINY, seed=0)
+            run_fleet_sim("tsunami", "all", TINY, seed=0)
 
     def test_existing_model_gets_matching_traffic(self):
         """A passed model's config overrides the scale's model fields."""

@@ -17,9 +17,7 @@ from repro.serve.cluster import (
 from repro.serve.simulator import (
     ServeScale,
     get_serve_scale,
-    make_engine,
     prepare_simulation,
-    simulate,
 )
 from repro.workload import (
     FaultEvent,
@@ -106,9 +104,9 @@ class TestScenarioLibrary:
     def test_simulator_runs_new_scenarios_end_to_end(self):
         rng_mod.set_seed(0)
         fx = prepare_simulation("flash_crowd", TINY)
-        engine = make_engine(fx, "slo")
-        simulate(engine, fx.requests)
-        assert engine.stats.completed == TINY.num_requests
+        fleet = make_fleet(fx, "slo")
+        simulate_fleet(fleet, fx.requests)
+        assert fleet.engines()[0].stats.completed == TINY.num_requests
 
 
 # ----------------------------------------------------------------------
